@@ -33,7 +33,7 @@
 //! solver.
 
 use mc2ls_core::parallel::{map_chunks, map_items};
-use mc2ls_geo::{grid_coords, Extent, Point, Square};
+use mc2ls_geo::{grid_coords, morton_of_cell, Extent, Point, Square};
 use mc2ls_influence::PositionBlocks;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -178,17 +178,6 @@ impl SparseRows {
     }
 }
 
-/// Interleaves the per-axis cell coordinates of an anchor into its Morton
-/// code — bit-identical to [`mc2ls_geo::morton_code`] of any point inside
-/// the cell, since [`grid_coords`] walks the same descent.
-fn interleave(cx: u64, cy: u64, depth: usize) -> u64 {
-    let mut code = 0u64;
-    for level in (0..depth).rev() {
-        code = (code << 2) | (((cy >> level) & 1) << 1) | ((cx >> level) & 1);
-    }
-    code
-}
-
 /// [`propose_soa`] over a `Point` slice.
 pub fn propose(points: &[Point], cfg: &SweepConfig) -> Proposal {
     let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
@@ -305,7 +294,7 @@ pub fn propose_soa(xs: &[f64], ys: &[f64], cfg: &SweepConfig) -> Proposal {
     let mut ranked: Vec<(u64, u64, u64, u64)> = anchors
         .iter()
         .zip(scores.iter())
-        .map(|(&(ay, ax), &score)| (score, interleave(ax, ay, depth), ax, ay))
+        .map(|(&(ay, ax), &score)| (score, morton_of_cell(ax, ay), ax, ay))
         .collect();
     ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
@@ -361,7 +350,7 @@ mod tests {
             for depth in [1usize, 4, 7] {
                 let (cx, cy) = grid_coords(&root, depth, &p);
                 assert_eq!(
-                    interleave(cx, cy, depth),
+                    morton_of_cell(cx, cy),
                     morton_code(&root, depth, &p),
                     "{p:?} depth {depth}"
                 );

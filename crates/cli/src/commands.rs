@@ -393,7 +393,7 @@ fn snapshot_save<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     let (snapshot, stats) =
         mc2ls_serve::Snapshot::build_sharded(&name, &problem, leaf_diagonal, threads, shards);
     let bytes = snapshot.to_bytes();
-    std::fs::write(path, &bytes)?;
+    mc2ls_serve::snapshot::write_atomic(std::path::Path::new(path), &bytes)?;
     let meta = &snapshot.meta;
     writeln!(
         out,
@@ -446,7 +446,7 @@ fn snapshot_diff<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     mc2ls_serve::Snapshot::from_bytes(&base)?;
     mc2ls_serve::Snapshot::from_bytes(&target)?;
     let delta = mc2ls_serve::delta::diff(&base, &target)?;
-    std::fs::write(out_path, &delta)?;
+    mc2ls_serve::delta::save(&delta, std::path::Path::new(out_path))?;
     writeln!(
         out,
         "delta {}: {} bytes ({} base, {} target)",

@@ -344,12 +344,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
-/// The 256-entry lookup table for the reflected polynomial `0xEDB88320`,
-/// generated at compile time. One table lookup per input byte replaces the
-/// 8-iteration bit loop; with per-section CRC on the zero-copy load path,
-/// checksumming must not dominate a load that no longer decodes payloads.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables for the reflected polynomial `0xEDB88320`,
+/// generated at compile time. `CRC32_TABLES[0]` is the classic bytewise
+/// table; `CRC32_TABLES[k][b]` is the state contribution of byte `b`
+/// followed by `k` zero bytes, so eight table lookups fold eight input
+/// bytes at once. The bytewise loop is a serial chain of one dependent
+/// lookup per byte; the eight lookups of a step are independent, which is
+/// what keeps whole-container checksums (written on every encode, checked
+/// on every load) from dominating the live-update epoch.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -359,18 +363,45 @@ const CRC32_TABLE: [u32; 256] = {
             c = (c >> 1) ^ (0xEDB8_8320 & mask);
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// Streaming CRC-32 state update: feed `state = 0xFFFF_FFFF`, then chunks,
 /// then XOR the result with `0xFFFF_FFFF` (what [`crc32`] does in one go).
+///
+/// Folds eight bytes per step through [`CRC32_TABLES`] and finishes the
+/// last `len % 8` bytes one at a time; the result equals the bytewise
+/// table walk for every input and every way of splitting it into chunks.
 pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        let idx = ((state ^ u32::from(b)) & 0xFF) as usize;
-        state = (state >> 8) ^ CRC32_TABLE[idx];
+    let t = &CRC32_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ u32::from(b)) & 0xFF) as usize];
     }
     state
 }
@@ -452,6 +483,73 @@ mod tests {
         state = crc32_update(state, b"1234");
         state = crc32_update(state, b"56789");
         assert_eq!(state ^ 0xFFFF_FFFF, 0xCBF4_3926);
+    }
+
+    /// The bit-serial definition of CRC-32 (reflected `0xEDB88320`): no
+    /// table at all, so it checks the generated tables as well as the
+    /// slicing-by-8 fold.
+    fn crc32_update_bitwise(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = 0u32.wrapping_sub(state & 1);
+                state = (state >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        state
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bitwise_definition_at_every_length() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0xC3C3);
+        let buf: Vec<u8> = (0..4097).map(|_| rng.gen::<u8>()).collect();
+        for len in 0..=buf.len() {
+            let bytes = &buf[..len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_update_bitwise(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF,
+                "len {len}"
+            );
+        }
+        // Random starting states too: the fold must not assume the
+        // standard initial value.
+        for _ in 0..64 {
+            let state: u32 = rng.gen();
+            let len = rng.gen_range(0usize..4097);
+            let bytes = &buf[..len];
+            assert_eq!(
+                crc32_update(state, bytes),
+                crc32_update_bitwise(state, bytes),
+                "len {len} state {state:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_equals_one_shot_at_every_split_point() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4096] {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+            let whole = crc32(&bytes);
+            for split in 0..=len {
+                let state = crc32_update(0xFFFF_FFFF, &bytes[..split]);
+                let state = crc32_update(state, &bytes[split..]);
+                assert_eq!(state ^ 0xFFFF_FFFF, whole, "len {len} split {split}");
+            }
+        }
+        // Three-way splits at unaligned offsets.
+        let bytes: Vec<u8> = (0..200).map(|_| rng.gen::<u8>()).collect();
+        let whole = crc32(&bytes);
+        for a in 0..24 {
+            for b in a..a + 24 {
+                let mut state = crc32_update(0xFFFF_FFFF, &bytes[..a]);
+                state = crc32_update(state, &bytes[a..b]);
+                state = crc32_update(state, &bytes[b..]);
+                assert_eq!(state ^ 0xFFFF_FFFF, whole, "splits {a} {b}");
+            }
+        }
     }
 
     #[test]

@@ -29,11 +29,19 @@ use crate::{Point, Square};
 /// assert_eq!(hilbert_code(&root, 3, &Point::new(0.1, 0.1)), 0);
 /// ```
 pub fn hilbert_code(root: &Square, depth: usize, p: &Point) -> u64 {
+    let (cx, cy) = grid_coords(root, depth, p);
+    hilbert_of_cell(depth, cx, cy)
+}
+
+/// The Hilbert-curve index of grid cell `(cx, cy)` on the
+/// `2^depth × 2^depth` grid — the ordering step of [`hilbert_code`], for
+/// cells that [`for_each_grid_cell`](crate::for_each_grid_cell) computed
+/// in batches.
+pub fn hilbert_of_cell(depth: usize, cx: u64, cy: u64) -> u64 {
     debug_assert!(depth <= 31, "hilbert depth {depth} exceeds 31");
     if depth == 0 {
         return 0;
     }
-    let (cx, cy) = grid_coords(root, depth, p);
     hilbert_index(1u64 << depth, cx, cy)
 }
 

@@ -17,7 +17,9 @@
 //! * [`morton_code`] / [`hilbert_code`] — z-order and Hilbert-curve codes
 //!   over quad subdivisions, shared by the IQuad-tree builder and the
 //!   blocked verification substrate (both orderings derive their grid cell
-//!   from the same [`grid_coords`] midpoint descent).
+//!   from the same [`grid_coords`] midpoint descent; builds key whole
+//!   position sets through the bit-identical lane-batched
+//!   [`for_each_grid_cell`]).
 //! * [`codec`] — the little-endian binary reader/writer (plus CRC-32) the
 //!   snapshot persistence layer pins every artifact's byte layout on.
 //!
@@ -41,8 +43,8 @@ mod square;
 pub use circle::Circle;
 pub use codec::{ByteReader, ByteWriter, CodecError, U32View};
 pub use extent::Extent;
-pub use hilbert::hilbert_code;
-pub use morton::{grid_coords, morton_code};
+pub use hilbert::{hilbert_code, hilbert_of_cell};
+pub use morton::{for_each_grid_cell, grid_coords, morton_code, morton_of_cell, DESCENT_LANES};
 pub use point::Point;
 pub use rect::Rect;
 pub use square::Square;

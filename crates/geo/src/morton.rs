@@ -5,6 +5,15 @@
 //! and the blocked verification substrate in `mc2ls-influence` (which
 //! Morton-sorts each user's positions so consecutive positions are spatially
 //! close, making per-block MBRs tight).
+//!
+//! [`morton_code`] / [`grid_coords`] are the single-point definition. One
+//! point's descent is a serial chain — each level's compare needs the
+//! previous level's origin — so a build that keys hundreds of thousands of
+//! positions is latency-bound on it. [`for_each_grid_cell`] runs
+//! [`DESCENT_LANES`] independent descents in lockstep with the *same*
+//! per-level expressions, which turns the chain into throughput-bound lane
+//! work with bit-identical cells, and finishes the ragged tail of a stream
+//! with the scalar descent.
 
 use crate::{Point, Square};
 
@@ -69,6 +78,136 @@ pub fn grid_coords(root: &Square, depth: usize, p: &Point) -> (u64, u64) {
         side = h;
     }
     (cx, cy)
+}
+
+/// Points per batch of the lockstep descent behind [`for_each_grid_cell`].
+/// Eight independent descents give the out-of-order core eight chains to
+/// overlap and fill two to four SIMD registers of `f64` on every target
+/// the workspace builds for.
+pub const DESCENT_LANES: usize = 8;
+
+/// One batch of descents in structure-of-arrays form: lane `i` is the
+/// point `(px[i], py[i])` under the root square at `(ox[i], oy[i])` with
+/// side `side[i]`.
+#[derive(Default)]
+struct LaneBatch {
+    ox: [f64; DESCENT_LANES],
+    oy: [f64; DESCENT_LANES],
+    side: [f64; DESCENT_LANES],
+    px: [f64; DESCENT_LANES],
+    py: [f64; DESCENT_LANES],
+}
+
+impl LaneBatch {
+    #[inline]
+    fn set(&mut self, i: usize, root: &Square, p: &Point) {
+        self.ox[i] = root.origin.x;
+        self.oy[i] = root.origin.y;
+        self.side[i] = root.side;
+        self.px[i] = p.x;
+        self.py[i] = p.y;
+    }
+
+    /// [`grid_coords`] of every lane in lockstep, returning the column
+    /// coordinates and the row coordinates lane by lane.
+    ///
+    /// Every lane evaluates exactly the expressions of the scalar descent
+    /// in the same order — `h = side·0.5`, `east = p.x ≥ ox + h`,
+    /// `ox += east·h`, `side = h` — with no fused multiply-add and no
+    /// reassociation, and IEEE-754 arithmetic rounds each lane the same
+    /// whether it runs in a scalar or a vector register. So lane `i`'s cell
+    /// equals the scalar descent's bit for bit, ties on a split line going
+    /// to the higher child as there. `bit` is the flag as the `f64` the
+    /// scalar descent multiplies by (`east as f64`); spelling it as a
+    /// select of the constants `1.0`/`0.0` gives the same value while
+    /// letting the compiler keep the whole level in vector registers
+    /// instead of converting each lane's integer flag separately.
+    #[inline]
+    fn descend(&self, depth: usize) -> ([u64; DESCENT_LANES], [u64; DESCENT_LANES]) {
+        let bit = |b: bool| if b { 1.0 } else { 0.0 };
+        let (mut ox, mut oy, mut side) = (self.ox, self.oy, self.side);
+        let mut cx = [0u64; DESCENT_LANES];
+        let mut cy = [0u64; DESCENT_LANES];
+        for _ in 0..depth {
+            for i in 0..DESCENT_LANES {
+                let h = side[i] * 0.5;
+                let east = self.px[i] >= ox[i] + h;
+                let north = self.py[i] >= oy[i] + h;
+                cx[i] = (cx[i] << 1) | u64::from(east);
+                cy[i] = (cy[i] << 1) | u64::from(north);
+                ox[i] += bit(east) * h;
+                oy[i] += bit(north) * h;
+                side[i] = h;
+            }
+        }
+        (cx, cy)
+    }
+}
+
+/// Calls `emit(tag, cx, cy)` with the [`grid_coords`] cell of every
+/// `(root, point, tag)` job, in job order.
+///
+/// Jobs are gathered into batches of [`DESCENT_LANES`] that descend in
+/// lockstep, cell for cell bit-identical to [`grid_coords`] (same
+/// expressions, same order, no fused multiply-add); the final partial
+/// batch runs the scalar [`grid_coords`] itself. Callers keep
+/// `depth ≤ 31`. Each job carries its own root, so one stream can
+/// mix points keyed under different squares (the position blocks key every
+/// user under that user's MBR). The tag is handed back untouched — the
+/// caller's handle on what the point belongs to.
+pub fn for_each_grid_cell<T: Copy>(
+    depth: usize,
+    jobs: impl IntoIterator<Item = (Square, Point, T)>,
+    mut emit: impl FnMut(T, u64, u64),
+) {
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else {
+        return;
+    };
+    let mut batch = LaneBatch::default();
+    let mut tags = [first.2; DESCENT_LANES];
+    batch.set(0, &first.0, &first.1);
+    let mut filled = 1;
+    loop {
+        if filled == DESCENT_LANES {
+            let (cx, cy) = batch.descend(depth);
+            for i in 0..DESCENT_LANES {
+                emit(tags[i], cx[i], cy[i]);
+            }
+            filled = 0;
+        }
+        let Some((root, p, tag)) = jobs.next() else {
+            break;
+        };
+        batch.set(filled, &root, &p);
+        tags[filled] = tag;
+        filled += 1;
+    }
+    for (i, &tag) in tags[..filled].iter().enumerate() {
+        let root = Square::new(Point::new(batch.ox[i], batch.oy[i]), batch.side[i]);
+        let (cx, cy) = grid_coords(&root, depth, &Point::new(batch.px[i], batch.py[i]));
+        emit(tag, cx, cy);
+    }
+}
+
+/// The Morton code of grid cell `(cx, cy)`: the coordinate bits
+/// interleaved `north ‖ east` per level, so
+/// `morton_of_cell(grid_coords(r, d, p)) == morton_code(r, d, p)` for
+/// every `d ≤ 32`.
+#[inline]
+pub fn morton_of_cell(cx: u64, cy: u64) -> u64 {
+    spread_bits(cx) | (spread_bits(cy) << 1)
+}
+
+/// Moves bit `j` of the low 32 bits of `v` to bit `2j`.
+#[inline]
+fn spread_bits(v: u64) -> u64 {
+    let mut x = v & 0xFFFF_FFFF;
+    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
+    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
+    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+    (x | (x << 1)) & 0x5555_5555_5555_5555
 }
 
 #[cfg(test)]

@@ -19,11 +19,11 @@
 mod codec;
 mod node;
 
-// `morton_code` lives in `mc2ls_geo`: it performs the same `quadrant_of`
-// descent `traverse` does, so builder and traversal classify boundary
-// positions identically, and it is shared with the blocked verification
-// substrate in `mc2ls-influence`.
-use mc2ls_geo::{morton_code, Extent, Point, Rect, Square};
+// The Morton descent lives in `mc2ls_geo`: it performs the same
+// `quadrant_of` descent `traverse` does, so builder and traversal classify
+// boundary positions identically, and it is shared with the blocked
+// verification substrate in `mc2ls-influence`.
+use mc2ls_geo::{for_each_grid_cell, morton_of_cell, Extent, Point, Rect, Square};
 use mc2ls_influence::{eta_count, non_influence_radius, MovingUser, ProbabilityFunction};
 use node::IqtNode;
 
@@ -208,18 +208,22 @@ impl IQuadTree {
 
         // Morton-order construction: one code per position (computed by the
         // same quadrant descent `traverse` uses, so builder and traversal
-        // agree bit-for-bit on boundary positions), one global sort, then
-        // every node is a contiguous range. Sorting by (code, user) makes
-        // each leaf range user-sorted, so leaf counts fall out of a
-        // run-length scan and internal counts out of child merges — no
-        // per-node sorting at all.
+        // agree bit-for-bit on boundary positions; batched across lanes,
+        // bit-identical to `morton_code`), one global sort, then every node
+        // is a contiguous range. Sorting by (code, user) makes each leaf
+        // range user-sorted, so leaf counts fall out of a run-length scan
+        // and internal counts out of child merges — no per-node sorting at
+        // all.
         let total: usize = users.iter().map(MovingUser::len).sum();
         let mut items: Vec<(u64, u32, Point)> = Vec::with_capacity(total);
-        for (id, u) in users.iter().enumerate() {
-            for &p in u.positions() {
-                items.push((morton_code(&root_square, depth, &p), id as u32, p));
-            }
-        }
+        let jobs = users.iter().enumerate().flat_map(|(id, u)| {
+            u.positions()
+                .iter()
+                .map(move |&p| (root_square, p, (id as u32, p)))
+        });
+        for_each_grid_cell(depth, jobs, |(id, p), cx, cy| {
+            items.push((morton_of_cell(cx, cy), id, p));
+        });
         // Single u128 key (code ≤ 62 bits ‖ user 32 bits) sorts faster than
         // a lexicographic tuple comparison.
         items.sort_unstable_by_key(|&(code, user, _)| ((code as u128) << 32) | user as u128);
@@ -919,6 +923,7 @@ fn merge_counts(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc2ls_geo::morton_code;
     use mc2ls_influence::{influences, Sigmoid};
 
     fn users_grid() -> Vec<MovingUser> {

@@ -64,7 +64,8 @@
 use crate::lanes::{pow_n, LANE};
 use crate::{CountEvals, ProbabilityFunction};
 use mc2ls_geo::{
-    hilbert_code, morton_code, ByteReader, ByteWriter, CodecError, Point, Rect, Square,
+    for_each_grid_cell, hilbert_of_cell, morton_of_cell, ByteReader, ByteWriter, CodecError, Point,
+    Rect, Square,
 };
 use std::cell::Cell;
 
@@ -83,6 +84,13 @@ pub const BLOCK_SIZE_PLAIN: usize = usize::MAX;
 /// Space-filling-curve depth: 16 levels = a 65536² virtual grid over each
 /// user's MBR, far finer than any real block split needs.
 const CURVE_DEPTH: usize = 16;
+
+/// Positions keyed per pass of [`PositionBlocks::build_ordered`]: whole
+/// users are gathered until their positions would exceed this many, keyed
+/// in one lane-batched descent stream, then sorted and chunked user by
+/// user. Bounds the key scratch at `max(KEY_WINDOW, r_max)` entries
+/// whatever the instance size.
+const KEY_WINDOW: usize = 2048;
 
 /// Which space-filling curve orders each user's positions before they are
 /// chunked into blocks. A build-time choice: the ordering only affects
@@ -208,36 +216,56 @@ impl PositionBlocks {
         user_offsets.push(0u32);
 
         let mut keyed: Vec<(u64, u32)> = Vec::new();
-        for u in users {
-            let mbr = u.mbr();
-            // A square root over the MBR (degenerate side 0 is fine: all
-            // positions then share one code and the original order holds).
-            let root = Square::new(mbr.min, mbr.width().max(mbr.height()));
-            keyed.clear();
-            keyed.extend(u.positions().iter().enumerate().map(|(i, p)| {
-                let code = match ordering {
-                    BlockOrdering::Morton => morton_code(&root, CURVE_DEPTH, p),
-                    BlockOrdering::Hilbert => hilbert_code(&root, CURVE_DEPTH, p),
-                };
-                // lint:allow(narrowing-cast): i indexes one user's positions; r_max fits the u32 id space
-                (code, i as u32)
-            }));
-            keyed.sort_unstable();
-            for chunk in keyed.chunks(block_size) {
-                let first = u.positions()[chunk[0].1 as usize];
-                let mut rect = Rect::point(first);
-                for &(_, i) in chunk {
-                    let p = u.positions()[i as usize];
-                    xs.push(p.x);
-                    ys.push(p.y);
-                    rect.expand_to(&p);
-                }
-                rects.push(rect);
-                // lint:allow(narrowing-cast): total position count fits u32: positions are addressed by u32 ids
-                block_offsets.push(xs.len() as u32);
+        let mut start = 0;
+        while start < users.len() {
+            let mut end = start + 1;
+            let mut window = users[start].len();
+            while end < users.len() && window + users[end].len() <= KEY_WINDOW {
+                window += users[end].len();
+                end += 1;
             }
-            // lint:allow(narrowing-cast): block count is bounded by position count, which fits u32
-            user_offsets.push(rects.len() as u32);
+            let pass = &users[start..end];
+            start = end;
+
+            // Each user is keyed under a square root over its own MBR
+            // (degenerate side 0 is fine: all positions then share one
+            // code and the original order holds); the descent batches
+            // across users, with cells bit-identical to `grid_coords`.
+            keyed.clear();
+            let jobs = pass.iter().flat_map(|u| {
+                let mbr = u.mbr();
+                let root = Square::new(mbr.min, mbr.width().max(mbr.height()));
+                (0u32..).zip(u.positions()).map(move |(i, &p)| (root, p, i))
+            });
+            for_each_grid_cell(CURVE_DEPTH, jobs, |i, cx, cy| {
+                let code = match ordering {
+                    BlockOrdering::Morton => morton_of_cell(cx, cy),
+                    BlockOrdering::Hilbert => hilbert_of_cell(CURVE_DEPTH, cx, cy),
+                };
+                keyed.push((code, i));
+            });
+
+            let mut offset = 0;
+            for u in pass {
+                let run = &mut keyed[offset..offset + u.len()];
+                offset += u.len();
+                run.sort_unstable();
+                for chunk in run.chunks(block_size) {
+                    let first = u.positions()[chunk[0].1 as usize];
+                    let mut rect = Rect::point(first);
+                    for &(_, i) in chunk {
+                        let p = u.positions()[i as usize];
+                        xs.push(p.x);
+                        ys.push(p.y);
+                        rect.expand_to(&p);
+                    }
+                    rects.push(rect);
+                    // lint:allow(narrowing-cast): total position count fits u32: positions are addressed by u32 ids
+                    block_offsets.push(xs.len() as u32);
+                }
+                // lint:allow(narrowing-cast): block count is bounded by position count, which fits u32
+                user_offsets.push(rects.len() as u32);
+            }
         }
 
         PositionBlocks {

@@ -160,12 +160,14 @@ pub fn apply(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, SnapshotError> {
     Ok(out)
 }
 
-/// Writes `bytes` to `path` (the conventional extension is `.mc2d`).
+/// Writes `bytes` to `path` (the conventional extension is `.mc2d`)
+/// through [`write_atomic`](crate::snapshot::write_atomic), so a failed
+/// write never leaves a truncated delta behind.
 ///
 /// # Errors
 /// Propagates file-system failures as [`SnapshotError::Io`].
 pub fn save(bytes: &[u8], path: &std::path::Path) -> Result<(), SnapshotError> {
-    std::fs::write(path, bytes).map_err(SnapshotError::Io)
+    crate::snapshot::write_atomic(path, bytes).map_err(SnapshotError::Io)
 }
 
 #[cfg(test)]

@@ -23,6 +23,12 @@ use std::io::{Read, Write};
 /// Hard cap on a frame's payload length (64 MiB).
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
+/// Payload bytes [`read_frame`] reserves before any payload byte arrives;
+/// beyond it the buffer grows only as bytes are actually received, so a
+/// peer that announces a large frame and stalls pins this much, not the
+/// announced length.
+const FRAME_INITIAL_CAPACITY: usize = 64 * 1024;
+
 /// A client → server message.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Request {
@@ -265,8 +271,12 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError>
 /// Reads one frame. `Ok(None)` means the peer closed the connection before
 /// sending another length prefix (the clean end of a conversation).
 ///
+/// The payload buffer starts at most [`FRAME_INITIAL_CAPACITY`] bytes and
+/// grows with the bytes received, never to the announced length up front.
+///
 /// # Errors
 /// [`ServeError::FrameTooLarge`] on an implausible length prefix,
+/// [`ServeError::ConnectionClosed`] when the peer closes mid-payload,
 /// [`ServeError::Io`] on socket failures (including read timeouts, which
 /// surface as `WouldBlock`/`TimedOut`).
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
@@ -280,14 +290,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
     if len > MAX_FRAME_LEN {
         return Err(ServeError::FrameTooLarge(u64::from(len)));
     }
-    let mut payload = vec![0u8; len as usize];
-    match r.read_exact(&mut payload) {
-        Ok(()) => Ok(Some(payload)),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            Err(ServeError::ConnectionClosed)
-        }
-        Err(e) => Err(ServeError::Io(e)),
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(FRAME_INITIAL_CAPACITY));
+    let received = r.take(len as u64).read_to_end(&mut payload)?;
+    if received < len {
+        return Err(ServeError::ConnectionClosed);
     }
+    Ok(Some(payload))
 }
 
 /// Serialises `msg` to JSON and writes it as one frame.
@@ -418,6 +427,66 @@ mod tests {
             read_frame(&mut &buf[..]),
             Err(ServeError::FrameTooLarge(_))
         ));
+    }
+
+    /// A reader that serves `bytes` in small pieces and records the
+    /// largest buffer it was ever offered — the allocation a reader of the
+    /// stream committed before the bytes arrived.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        largest_offer: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_offer = self.largest_offer.max(buf.len());
+            let n = buf.len().min(7).min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_announced_maximum_frame_that_stalls_allocates_only_what_arrives() {
+        // The peer announces the largest legal frame, sends 10 bytes and
+        // closes: the reader must report the close, having offered the
+        // socket no more than the initial capacity.
+        let mut bytes = MAX_FRAME_LEN.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0xAB; 10]);
+        let mut peer = Trickle {
+            bytes,
+            at: 0,
+            largest_offer: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut peer),
+            Err(ServeError::ConnectionClosed)
+        ));
+        assert!(
+            peer.largest_offer <= FRAME_INITIAL_CAPACITY,
+            "offered {} bytes",
+            peer.largest_offer
+        );
+    }
+
+    #[test]
+    fn frames_larger_than_the_initial_capacity_still_round_trip() {
+        let payload: Vec<u8> = (0..3 * FRAME_INITIAL_CAPACITY + 5)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).expect("frame");
+        buf.extend_from_slice(b"next");
+        let mut peer = Trickle {
+            bytes: buf,
+            at: 0,
+            largest_offer: 0,
+        };
+        assert_eq!(read_frame(&mut peer).expect("read"), Some(payload));
+        // The frame's bytes and nothing past them were consumed.
+        assert_eq!(&peer.bytes[peer.at..], b"next");
     }
 
     #[test]

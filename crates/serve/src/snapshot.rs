@@ -587,12 +587,13 @@ impl Snapshot {
     }
 
     /// Writes the container to `path` (the conventional extension is
-    /// `.mc2s`).
+    /// `.mc2s`) through [`write_atomic`]: a crash or a failed write leaves
+    /// the previous file at `path` intact.
     ///
     /// # Errors
     /// Propagates file-system failures as [`SnapshotError::Io`].
     pub fn save(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_bytes()).map_err(SnapshotError::Io)
+        write_atomic(path, &self.to_bytes()).map_err(SnapshotError::Io)
     }
 
     /// Reads and decodes a container from `path`.
@@ -604,6 +605,48 @@ impl Snapshot {
         let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
         Snapshot::from_bytes(&bytes)
     }
+}
+
+/// Replaces the file at `path` with `bytes` so that `path` always holds
+/// either its old content or all of `bytes`, never a truncated mix.
+///
+/// The bytes go to a temporary file in the same directory (same file
+/// system, so the rename below is atomic), are flushed to stable storage
+/// with `sync_all`, and only then renamed over `path`. On any failure the
+/// temporary file is removed and `path` is untouched. The directory entry
+/// itself is not synced: after a crash right at the rename, `path` may
+/// still name the old file, which is intact.
+///
+/// # Errors
+/// Propagates file-system failures; `path` without a file name is
+/// `InvalidInput`.
+pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    // Distinct per process and per call, so concurrent saves to one path
+    // never share a temporary file.
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    })?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()
+    });
+    let renamed = written.and_then(|()| std::fs::rename(&tmp, path));
+    if renamed.is_err() {
+        // Best effort: the error being returned is the one that matters.
+        std::fs::remove_file(&tmp).ok();
+    }
+    renamed
 }
 
 #[cfg(test)]
@@ -813,5 +856,48 @@ mod tests {
             Snapshot::load(&dir.join("absent.mc2s")),
             Err(SnapshotError::Io(_))
         ));
+    }
+
+    /// Names in `dir` other than `keep` — any leftover temporary file.
+    fn strays(dir: &std::path::Path, keep: &[&str]) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| !keep.contains(&n.as_str()))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn saving_over_an_existing_snapshot_replaces_it_whole() {
+        let dir = std::env::temp_dir().join(format!("mc2ls-atomic-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("epoch.mc2s");
+        let (first, _) = Snapshot::build("first", &tiny_problem(), 2.0, 1);
+        first.save(&path).expect("first save");
+        let (second, _) =
+            Snapshot::build("second", &tiny_problem().with_model(Model::Logit), 2.0, 1);
+        second.save(&path).expect("save over");
+        let back = Snapshot::load(&path).expect("the replaced file loads");
+        assert_eq!(back.meta, second.meta);
+        assert_eq!(std::fs::read(&path).expect("read"), second.to_bytes());
+        assert_eq!(strays(&dir, &["epoch.mc2s"]), Vec::<String>::new());
+
+        // A save that cannot complete (the target is a directory, so the
+        // final rename fails) reports the error, cleans up its temporary
+        // file, and leaves everything else as it was.
+        let blocked = dir.join("blocked.mc2s");
+        std::fs::create_dir_all(&blocked).expect("blocking dir");
+        assert!(matches!(first.save(&blocked), Err(SnapshotError::Io(_))));
+        assert_eq!(
+            strays(&dir, &["epoch.mc2s", "blocked.mc2s"]),
+            Vec::<String>::new()
+        );
+        assert_eq!(
+            Snapshot::load(&path).expect("still loads").meta,
+            second.meta
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
